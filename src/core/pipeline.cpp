@@ -154,12 +154,19 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
   std::vector<std::pair<std::size_t, float>> verify_pruned;  // exact-only hits
   {
     const obs::ScopedSpan dl_span("pipeline.detect.dl");
+    // Score first, fanning fixed blocks out over the workers, then classify
+    // in index order, so outcomes do not depend on the worker count. A
+    // cancellation while scoring leaves stage 1 unclassified.
+    const bool shortlist_only = prefilter == retrieval::PrefilterMode::on;
+    std::vector<float> scores(shortlist_only ? shortlist.size()
+                                             : target.features.size());
+    outcome.cancelled = !model_->score_many(
+        query_features, target.features.data(),
+        shortlist_only ? shortlist.data() : nullptr, scores.size(),
+        scores.data(), config_.worker_threads, cancel);
     std::size_t shortlist_pos = 0;
-    for (std::size_t i = 0; i < target.features.size(); ++i) {
-      if (is_cancelled(cancel)) {
-        outcome.cancelled = true;
-        break;
-      }
+    for (std::size_t i = 0; i < target.features.size() && !outcome.cancelled;
+         ++i) {
       bool shortlisted = true;
       if (prefilter != retrieval::PrefilterMode::off) {
         shortlisted = shortlist_pos < shortlist.size() &&
@@ -168,7 +175,7 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
       }
       const bool is_target =
           target.binary->functions[i].source_uid == entry.target_uid;
-      if (prefilter == retrieval::PrefilterMode::on && !shortlisted) {
+      if (shortlist_only && !shortlisted) {
         // Pruned before the model ran; a true match here is the prefilter's
         // recall loss and lands in false_negatives like any stage-1 miss.
         if (is_target)
@@ -177,7 +184,8 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
           ++outcome.true_negatives;
         continue;
       }
-      const float score = model_->score(query_features, target.features[i]);
+      const float score =
+          shortlist_only ? scores[shortlist_pos - 1] : scores[i];
       const bool accepted = score >= config_.detection_threshold;
       if (prefilter == retrieval::PrefilterMode::verify && accepted) {
         ++outcome.prefilter_exact_candidates;

@@ -29,6 +29,25 @@ struct Matrix {
   float at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
 };
 
+/// Widest layer the inference path supports; SimilarityModel::load rejects
+/// wider files, so per-pair scratch can live on the stack.
+constexpr std::size_t max_layer_width = 4096;
+
+/// The dense kernel's input form: the nonzero entries of x[0, n) in
+/// ascending index order, written as (i, x[i]) pairs to `rows`/`values`.
+/// Zeros of either sign contribute no term. Returns the pair count.
+std::size_t compact_nonzeros(const float* x, std::size_t n,
+                             std::uint32_t* rows, float* values);
+
+/// The dense kernel: y[o] += values[k] * w[rows[k] * out_dim + o] for k in
+/// ascending order, every o in [0, out_dim). Each y[o] sees its terms in
+/// exactly that order (mul then add, never fused), tiled 16 outputs wide so
+/// a tile's accumulators stay in registers. y holds the running sum on
+/// entry (the bias, or a prefix computed earlier).
+void accumulate_rows(const float* w, std::size_t out_dim,
+                     const std::uint32_t* rows, const float* values,
+                     std::size_t count, float* y);
+
 /// One fully connected layer with Adam state.
 class DenseLayer {
  public:
@@ -40,6 +59,12 @@ class DenseLayer {
 
   /// y = x W + b for a batch x (B x in).
   Matrix forward(const Matrix& x) const;
+
+  /// y = x W + b for one row: y[o] = b[o] plus x[i] * W[i][o] over the
+  /// nonzero x[i] in ascending i. `rows`/`values` are scratch of in_dim
+  /// entries; forward() runs every row through this.
+  void forward_row(const float* x, float* y, std::uint32_t* rows,
+                   float* values) const;
 
   /// Given dL/dy and the cached forward input, accumulates weight gradients
   /// and returns dL/dx.
@@ -91,9 +116,6 @@ class Network {
   /// Sigmoid outputs for a batch, one per row.
   std::vector<float> predict(const Matrix& x) const;
 
-  /// Single-sample convenience.
-  float predict_one(const std::vector<float>& x) const;
-
   /// One full pass over (x, y) in shuffled mini-batches; returns mean loss
   /// and accuracy. Labels are 0/1.
   EpochStats train_epoch(const Matrix& x, const std::vector<float>& y,
@@ -112,6 +134,9 @@ class Network {
   std::vector<DenseLayer> layers_;
   int adam_t_ = 0;
 };
+
+/// The sigmoid head, shared by training and inference.
+float sigmoid(float v);
 
 /// Area under the ROC curve via the rank statistic.
 double auc_score(const std::vector<float>& scores,

@@ -34,11 +34,15 @@ std::optional<PendingScan> AdmissionQueue::next() {
   return scan;
 }
 
+void AdmissionQueue::count_completed() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++completed_;
+}
+
 void AdmissionQueue::job_done() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (active_ > 0) --active_;
-    ++completed_;
   }
   idle_.notify_all();
 }

@@ -62,7 +62,13 @@ class AdmissionQueue {
   /// empty (dispatcher shutdown).
   std::optional<PendingScan> next();
 
-  /// A dispatched scan finished (success or failure).
+  /// Counts one finished scan in stats().completed. A dispatcher calls it
+  /// before sending the scan's final frame, so a client holding its result
+  /// already sees the scan counted.
+  void count_completed();
+
+  /// A dispatched scan finished and its final frame is sent (success or
+  /// failure); releases wait_idle once nothing is queued or running.
   void job_done();
 
   /// Stops admission and wakes blocked dispatchers; queued scans still

@@ -533,8 +533,6 @@ void ScanService::dispatch_loop() {
   while (auto scan = queue_.next()) {
     if (cancel_queued_.load(std::memory_order_acquire)) {
       set_state(scan->id, "cancelled");
-      scan->respond(error_response(503, "scan cancelled: service shutting down",
-                                   scan->id));
       AccessEntry entry;
       entry.id = scan->id;
       entry.op = "scan";
@@ -543,9 +541,9 @@ void ScanService::dispatch_loop() {
       entry.queue_wait_s = seconds_since(scan->admitted_at);
       entry.corpus_version = store_.current()->version;
       entry.bytes_in = scan->bytes_in;
-      if (scan->bytes_out)
-        entry.bytes_out = scan->bytes_out->load(std::memory_order_relaxed);
-      finish_request(entry);
+      finish_scan(*scan, entry,
+                  error_response(503, "scan cancelled: service shutting down",
+                                 scan->id));
     } else {
       run_scan(*scan);
     }
@@ -574,22 +572,22 @@ void ScanService::run_scan(const PendingScan& scan) {
   entry.queue_wait_s = queue_wait;
   entry.corpus_version = snapshot->version;
   entry.bytes_in = scan.bytes_in;
-  const auto finish = [&](int status, std::string_view outcome) {
+  const auto finish = [&](int status, std::string_view outcome,
+                          const std::string& response) {
     entry.status = status;
     entry.outcome = outcome;
     entry.service_s = service_watch.elapsed_seconds();
-    if (scan.bytes_out)
-      entry.bytes_out = scan.bytes_out->load(std::memory_order_relaxed);
-    finish_request(entry);
+    finish_scan(scan, entry, response);
   };
 
   const auto image = load_firmware(scan.request.firmware);
   if (!image) {
     set_state(scan.id, "failed");
-    scan.respond(error_response(
-        400, "cannot load firmware image '" + scan.request.firmware + "'",
-        scan.id));
-    finish(400, "error");
+    finish(400, "error",
+           error_response(400,
+                          "cannot load firmware image '" +
+                              scan.request.firmware + "'",
+                          scan.id));
     return;
   }
 
@@ -624,8 +622,7 @@ void ScanService::run_scan(const PendingScan& scan) {
     report = engine_.run(request);
   } catch (const std::exception& error) {
     set_state(scan.id, "failed");
-    scan.respond(error_response(500, error.what(), scan.id));
-    finish(500, "error");
+    finish(500, "error", error_response(500, error.what(), scan.id));
     return;
   }
 
@@ -677,8 +674,8 @@ void ScanService::run_scan(const PendingScan& scan) {
   // State before response: a client that just read its result may query
   // status immediately and must not still see "running".
   set_state(scan.id, report.interrupted ? "interrupted" : "done");
-  scan.respond(result_response(info));
-  finish(200, report.interrupted ? "interrupted" : "ok");
+  finish(200, report.interrupted ? "interrupted" : "ok",
+         result_response(info));
 }
 
 // --- health ----------------------------------------------------------------
@@ -825,6 +822,17 @@ std::string ScanService::stats_json() const {
 void ScanService::finish_request(const AccessEntry& entry) {
   rollup_.record(obs::endpoint_from_name(entry.op), entry.service_s,
                  entry.queue_wait_s, entry.status >= 400);
+  access_log_.append(entry);
+}
+
+void ScanService::finish_scan(const PendingScan& scan, AccessEntry& entry,
+                              const std::string& response) {
+  rollup_.record(obs::endpoint_from_name(entry.op), entry.service_s,
+                 entry.queue_wait_s, entry.status >= 400);
+  queue_.count_completed();
+  scan.respond(response);
+  if (scan.bytes_out)
+    entry.bytes_out = scan.bytes_out->load(std::memory_order_relaxed);
   access_log_.append(entry);
 }
 

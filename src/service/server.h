@@ -180,6 +180,11 @@ class ScanService {
   /// response frame is already on the wire — the access log. `entry.op`
   /// names the endpoint ("scan", "health", …; unknown maps to "other").
   void finish_request(const AccessEntry& entry);
+  /// Sends a dispatched scan's final frame. The rollup and the queue count
+  /// the scan first, so a client that has read the frame sees it in
+  /// `stats`; the access line, which records the bytes sent, follows.
+  void finish_scan(const PendingScan& scan, AccessEntry& entry,
+                   const std::string& response);
   void stats_ticker_loop();
 
   void set_state(std::uint64_t id, const char* state);

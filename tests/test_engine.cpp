@@ -937,5 +937,151 @@ TEST(Engine, ConcurrentRunsOnOneEngineStayDeterministic) {
   for (int i = 0; i < kRuns; ++i) EXPECT_EQ(reports[i], expected) << i;
 }
 
+// --- stage-1 fan-out ---------------------------------------------------------
+
+/// The universe's CVEs whose host library spans several stage-1 scoring
+/// blocks, the largest such library, and the first CVE it hosts (always
+/// among `cve_ids`).
+struct MultiBlockTargets {
+  std::vector<std::string> cve_ids;
+  const LibraryBinary* largest = nullptr;
+  const CveEntry* largest_entry = nullptr;
+};
+
+MultiBlockTargets multi_block_targets(const EngineUniverse& u) {
+  MultiBlockTargets targets;
+  std::map<std::string, const LibraryBinary*> by_name;
+  for (const LibraryBinary& library : u.firmware.libraries) {
+    if (library.functions.size() <= SimilarityModel::score_block) continue;
+    by_name[library.name] = &library;
+    if (targets.largest == nullptr ||
+        library.functions.size() > targets.largest->functions.size())
+      targets.largest = &library;
+  }
+  for (const CveEntry& entry : u.database->entries()) {
+    if (targets.largest != nullptr && targets.largest_entry == nullptr &&
+        entry.spec.library == targets.largest->name) {
+      targets.largest_entry = &entry;
+      targets.cve_ids.push_back(entry.spec.cve_id);
+    } else if (by_name.count(entry.spec.library) &&
+               targets.cve_ids.size() < 5) {
+      targets.cve_ids.push_back(entry.spec.cve_id);
+    }
+  }
+  return targets;
+}
+
+TEST(Engine, ExactScanIsByteIdenticalAcrossJobsOnMultiBlockTargets) {
+  // Stage 1 fans 64-pair blocks out over the scan pool; the classification
+  // pass after it must make the report independent of the worker count.
+  const EngineUniverse& u = universe();
+  const MultiBlockTargets targets = multi_block_targets(u);
+  ASSERT_FALSE(targets.cve_ids.empty());
+  ScanRequest request = u.request();
+  request.cve_ids = targets.cve_ids;
+
+  std::string reference;
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    EngineConfig config;
+    config.jobs = jobs;
+    config.use_cache = false;
+    const ScanReport report = ScanEngine(config).run(request);
+    ASSERT_EQ(report.results.size(), targets.cve_ids.size());
+    for (const CveScanResult& result : report.results)
+      EXPECT_GT(result.from_vulnerable.total, SimilarityModel::score_block);
+    if (reference.empty())
+      reference = report.canonical_text();
+    else
+      EXPECT_EQ(report.canonical_text(), reference) << "jobs=" << jobs;
+  }
+  EXPECT_FALSE(reference.empty());
+}
+
+TEST(Engine, CancelBeforeStageOneYieldsCancelledOutcomeAndStoresNothing) {
+  const EngineUniverse& u = universe();
+  const MultiBlockTargets targets = multi_block_targets(u);
+  const CveEntry* entry = targets.largest_entry;
+  ASSERT_NE(entry, nullptr);
+
+  // Pipeline level: a flag already set means no block is scored and no
+  // target function is classified.
+  PipelineConfig pipeline;
+  pipeline.worker_threads = 4;
+  const Patchecko patchecko(&u.model, pipeline);
+  const AnalyzedLibrary analyzed = analyze_library(*targets.largest);
+  const std::atomic<bool> cancel{true};
+  const DetectionOutcome outcome =
+      patchecko.detect(*entry, analyzed, false, &cancel);
+  EXPECT_TRUE(outcome.cancelled);
+  EXPECT_TRUE(outcome.candidates.empty());
+  EXPECT_EQ(outcome.true_positives + outcome.true_negatives +
+                outcome.false_positives + outcome.false_negatives,
+            0);
+
+  // Engine level: the watchdog cancels one detect job while it is held
+  // before stage 1; neither of its outcomes reaches the result cache.
+  EngineConfig config;
+  config.jobs = 2;
+  config.stall_inject_label = entry->spec.cve_id;
+  config.stall_inject_seconds = 0.75;
+  config.watchdog.hard_deadline_seconds = 0.25;
+  config.watchdog.poll_interval_seconds = 0.01;
+  config.watchdog.warn_stderr = false;
+  ScanEngine engine(config);
+  ScanRequest request = u.request();
+  request.cve_ids = targets.cve_ids;
+  const ScanReport report = engine.run(request);
+  // One feature store per library plus one per outcome that was not
+  // cancelled (a loaded runner may push another job past the deadline).
+  std::size_t expected_stores = report.analyzed_libraries;
+  for (const CveScanResult& result : report.results) {
+    expected_stores += !result.from_vulnerable.cancelled;
+    expected_stores += !result.from_patched.cancelled;
+    if (result.cve_id != entry->spec.cve_id) continue;
+    EXPECT_TRUE(result.stalled);
+    EXPECT_TRUE(result.from_vulnerable.cancelled);
+    EXPECT_TRUE(result.from_patched.cancelled);
+  }
+  EXPECT_LT(expected_stores,
+            report.analyzed_libraries + 2 * report.results.size());
+  EXPECT_EQ(engine.cache().stats().stores, expected_stores);
+}
+
+TEST(Engine, CancelDuringStageOneYieldsCancelledOutcomeAndStoresNothing) {
+  // A deliberately wide (untrained) model makes stage 1 on the largest
+  // library take several times the watchdog's hard deadline, so the
+  // deadline fires while the first query direction is still scoring.
+  const EngineUniverse& u = universe();
+  const MultiBlockTargets targets = multi_block_targets(u);
+  const CveEntry* entry = targets.largest_entry;
+  ASSERT_NE(entry, nullptr);
+  const SimilarityModel wide(Network({96, 1024, 1024, 1024, 1}, 3),
+                             u.model.normalizer());
+
+  EngineConfig config;
+  config.jobs = 2;
+  config.watchdog.hard_deadline_seconds = 0.05;
+  config.watchdog.poll_interval_seconds = 0.005;
+  config.watchdog.warn_stderr = false;
+  ScanEngine engine(config);
+  ScanRequest request = u.request();
+  request.model = &wide;
+  request.cve_ids = {entry->spec.cve_id};
+  const ScanReport report = engine.run(request);
+  ASSERT_EQ(report.results.size(), 1u);
+  const CveScanResult& result = report.results.front();
+  EXPECT_TRUE(result.stalled);
+  for (const DetectionOutcome* outcome :
+       {&result.from_vulnerable, &result.from_patched}) {
+    EXPECT_TRUE(outcome->cancelled);
+    EXPECT_TRUE(outcome->candidates.empty());
+    EXPECT_EQ(outcome->true_positives + outcome->true_negatives +
+                  outcome->false_positives + outcome->false_negatives,
+              0);
+  }
+  // Only the library's features were stored.
+  EXPECT_EQ(engine.cache().stats().stores, report.analyzed_libraries);
+}
+
 }  // namespace
 }  // namespace patchecko

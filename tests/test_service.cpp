@@ -271,12 +271,15 @@ TEST(Service, AdmissionQueueBoundsAndDrains) {
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->id, 1u);  // FIFO
   EXPECT_TRUE(queue.try_admit(pending(4)));  // slot freed by next()
+  queue.count_completed();
   queue.job_done();
   const auto second = queue.next();
   const auto third = queue.next();
   ASSERT_TRUE(second && third);
-  queue.job_done();
-  queue.job_done();
+  for (int i = 0; i < 2; ++i) {
+    queue.count_completed();
+    queue.job_done();
+  }
   queue.wait_idle();  // returns immediately: nothing queued or active
 
   queue.close();
@@ -684,10 +687,7 @@ TEST(Service, HealthAndStatusEndpointsReportServiceState) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(parsed(*response).get("state").as_string(), "done");
 
-  // The dispatcher bumps `completed` just after streaming the result.
-  for (int i = 0; i < 200 && service.health().queue.completed == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
+  // The dispatcher counts the scan before streaming its result.
   response = client.call(svc::health_request_json());
   ASSERT_TRUE(response.has_value());
   const json::Value health = parsed(*response);

@@ -527,6 +527,17 @@ int cmd_disasm(const Args& args) {
   return 1;
 }
 
+/// Loads --model, printing the loader's reason when it rejects the file.
+std::optional<SimilarityModel> load_model(const Args& args) {
+  std::string error;
+  auto model = SimilarityModel::load(args.get("model", ""), &error);
+  if (!model)
+    std::fprintf(stderr,
+                 "error: cannot load model: %s (run `patchecko train`)\n",
+                 error.c_str());
+  return model;
+}
+
 int cmd_scan(const Args& args) {
   require_known_options(
       args, {"model", "firmware", "cve", "scale", "seed", "threads",
@@ -541,11 +552,8 @@ int cmd_scan(const Args& args) {
   obs::set_enabled(metrics.enabled || trace_out.enabled || profile.enabled);
   obs::set_events_enabled(events.enabled || trace_out.enabled);
   const bool profiling = start_profile(profile);
-  const auto model = SimilarityModel::load(args.get("model", ""));
-  if (!model) {
-    std::fprintf(stderr, "error: cannot load model (run `patchecko train`)\n");
-    return 1;
-  }
+  const auto model = load_model(args);
+  if (!model) return 1;
   const auto image = load_firmware(args.get("firmware", ""));
   if (!image) {
     std::fprintf(stderr, "error: cannot load firmware image\n");
@@ -694,11 +702,8 @@ int cmd_batch_scan(const Args& args) {
     engine_config.heartbeat = &*heartbeat_publisher;
   }
 
-  const auto model = SimilarityModel::load(args.get("model", ""));
-  if (!model) {
-    std::fprintf(stderr, "error: cannot load model (run `patchecko train`)\n");
-    return 1;
-  }
+  const auto model = load_model(args);
+  if (!model) return 1;
   const auto image = load_firmware(args.get("firmware", ""));
   if (!image) {
     std::fprintf(stderr, "error: cannot load firmware image\n");
@@ -900,11 +905,8 @@ int cmd_serve(const Args& args) {
   obs::set_enabled(true);
   obs::set_events_enabled(true);
 
-  const auto model = SimilarityModel::load(args.get("model", ""));
-  if (!model) {
-    std::fprintf(stderr, "error: cannot load model (run `patchecko train`)\n");
-    return 1;
-  }
+  const auto model = load_model(args);
+  if (!model) return 1;
   config.model = &*model;
   if (prebuilt != nullptr)
     std::printf("loading vulnerability database from corpus store %s "
