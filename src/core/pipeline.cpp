@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -213,7 +214,8 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
 
   // --- Stage 2: execution validation + dynamic ranking ----------------------
   // Candidates validate and profile independently, so this fans out over
-  // worker threads (Machine::run is stateless per call).
+  // worker threads (Machine::run keeps its state in per-thread scratch).
+  // Validation and profiling share one run per environment.
   Stopwatch da_watch;
   const Machine machine(*target.binary, config_.machine);
   std::vector<CandidateProfile> profiles;
@@ -229,15 +231,14 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
                    if (is_cancelled(cancel)) return;
                    const std::size_t index = outcome.candidates[c];
                    std::size_t crash_env = 0;
-                   if (!validate_candidate(machine, index, entry.environments,
-                                           &crash_env)) {
+                   std::optional<DynamicProfile> profile = validate_and_profile(
+                       machine, index, entry.environments, &crash_env);
+                   if (!profile) {
                      crash_envs[c] = static_cast<std::int64_t>(crash_env);
                      return;
                    }
-                   slots[c] = CandidateProfile{
-                       index,
-                       profile_function(machine, index, entry.environments),
-                       candidate_scores[c]};
+                   slots[c] = CandidateProfile{index, std::move(*profile),
+                                               candidate_scores[c]};
                  });
     profiles.reserve(slots.size());
     for (const auto& slot : slots)
@@ -356,13 +357,18 @@ DetectionOutcome Patchecko::detect(const CveEntry& entry,
 PatchDecision Patchecko::analyze_patch(const CveEntry& entry,
                                        const AnalyzedLibrary& target,
                                        std::size_t target_function) const {
+  const Machine machine(*target.binary, config_.machine);
+  return decide_patch(
+      entry, target, target_function,
+      profile_function(machine, target_function, entry.environments));
+}
+
+PatchDecision Patchecko::decide_patch(
+    const CveEntry& entry, const AnalyzedLibrary& target,
+    std::size_t target_function, const DynamicProfile& target_profile) const {
   const FunctionBinary& fn = target.binary->functions[target_function];
   const StaticFeatureVector target_features = target.features[target_function];
   const DiffSignature target_signature = make_signature(fn);
-
-  const Machine machine(*target.binary, config_.machine);
-  const DynamicProfile target_profile =
-      profile_function(machine, target_function, entry.environments);
 
   // Prefer the architecture-matched references: comparing an ARM target to
   // x86 references would drown patch-sized deltas in codegen noise.
@@ -443,10 +449,12 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
   double best_distance = std::numeric_limits<double>::infinity();
   std::size_t best_effects = 0;
   report.pool.reserve(pool.size());
+  std::vector<DynamicProfile> profiles;  // index-aligned with report.pool
+  profiles.reserve(pool.size());
   for (std::size_t index : pool) {
     if (is_cancelled(cancel)) break;
-    const DynamicProfile profile =
-        profile_function(machine, index, entry.environments);
+    const DynamicProfile& profile = profiles.emplace_back(
+        profile_function(machine, index, entry.environments));
     obs::PatchCandidateRecord member;
     member.function_index = index;
     member.distance_vulnerable =
@@ -480,7 +488,7 @@ PatchReport Patchecko::report_from(const CveEntry& entry,
   }
   report.pool[best_slot].chosen = true;
   report.matched_function = best;
-  report.decision = analyze_patch(entry, target, best);
+  report.decision = decide_patch(entry, target, best, profiles[best_slot]);
   if (obs::events_enabled()) {
     const PatchDecision& decision = *report.decision;
     obs::EventLog::global().emit(

@@ -167,6 +167,12 @@ class Patchecko {
   const PipelineConfig& config() const { return config_; }
 
  private:
+  /// analyze_patch() given the matched function's dynamic profile.
+  PatchDecision decide_patch(const CveEntry& entry,
+                             const AnalyzedLibrary& target,
+                             std::size_t target_function,
+                             const DynamicProfile& target_profile) const;
+
   const SimilarityModel* model_;
   PipelineConfig config_;
 };

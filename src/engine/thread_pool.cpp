@@ -54,6 +54,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  enqueue(Task{std::move(task), nullptr});
+}
+
+void ThreadPool::enqueue(Task task) {
   const std::size_t slot =
       next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   {
@@ -69,7 +73,7 @@ void ThreadPool::submit(std::function<void()> task) {
   wake_.notify_one();
 }
 
-bool ThreadPool::pop_task(std::size_t preferred, std::function<void()>& out) {
+bool ThreadPool::pop_task(std::size_t preferred, Task& out) {
   const std::size_t n = queues_.size();
   for (std::size_t offset = 0; offset < n; ++offset) {
     WorkerQueue& queue = *queues_[(preferred + offset) % n];
@@ -94,21 +98,28 @@ bool ThreadPool::pop_task(std::size_t preferred, std::function<void()>& out) {
 bool ThreadPool::try_run_one() {
   // External threads have no own deque; start the scan at a rotating slot so
   // concurrent helpers don't all hammer queue 0.
-  std::function<void()> task;
+  Task task;
   const std::size_t start =
       next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
   if (!pop_task(start, task)) return false;
-  task();
-  PoolMetrics::get().completed.add();
+  execute(task);
   return true;
+}
+
+void ThreadPool::execute(Task& task) {
+  task.run();
+  // Count the completion before the group can observe it: once the last
+  // finish_one() runs, wait() may return, and a drained pool must read
+  // submitted == completed.
+  PoolMetrics::get().completed.add();
+  if (task.group != nullptr) task.group->finish_one();
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
   while (true) {
-    std::function<void()> task;
+    Task task;
     if (pop_task(index, task)) {
-      task();
-      PoolMetrics::get().completed.add();
+      execute(task);
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mutex_);
@@ -136,7 +147,8 @@ void TaskGroup::run(std::function<void()> task) {
   const std::size_t index =
       submitted_.fetch_add(1, std::memory_order_relaxed);
   remaining_.fetch_add(1, std::memory_order_relaxed);
-  pool_.submit([this, index, task = std::move(task)] {
+  // The pool calls finish_one() after the task, and after counting it.
+  auto guarded = [this, index, task = std::move(task)] {
     try {
       task();
     } catch (...) {
@@ -146,8 +158,8 @@ void TaskGroup::run(std::function<void()> task) {
         error_ = std::current_exception();
       }
     }
-    finish_one();
-  });
+  };
+  pool_.enqueue(ThreadPool::Task{std::move(guarded), this});
 }
 
 void TaskGroup::finish_one() {

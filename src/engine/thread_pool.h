@@ -24,6 +24,8 @@
 
 namespace patchecko {
 
+class TaskGroup;
+
 class ThreadPool {
  public:
   /// `thread_count` 0 picks the hardware concurrency (at least 1).
@@ -49,12 +51,22 @@ class ThreadPool {
   static ThreadPool& shared();
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
+  friend class TaskGroup;
+
+  /// A queued task and the group, if any, to notify once it has run.
+  struct Task {
+    std::function<void()> run;
+    TaskGroup* group = nullptr;
   };
 
-  bool pop_task(std::size_t preferred, std::function<void()>& out);
+  struct WorkerQueue {
+    std::mutex mutex;
+    std::deque<Task> tasks;
+  };
+
+  void enqueue(Task task);
+  bool pop_task(std::size_t preferred, Task& out);
+  void execute(Task& task);
   void worker_loop(std::size_t index);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
@@ -85,6 +97,8 @@ class TaskGroup {
   void wait();
 
  private:
+  friend class ThreadPool;  // calls finish_one() after counting a task done
+
   void finish_one();
 
   ThreadPool& pool_;

@@ -77,6 +77,17 @@ inline std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
                                    static_cast<std::uint64_t>(b));
 }
+
+/// malloc clamps each request to [0, malloc_max] bytes. A chunk of n bytes
+/// takes heap_footprint(n) of the run's heap, and the call that would take
+/// the heap past heap_limit traps as out-of-bounds: a malloc loop cannot
+/// grow host memory without bound. Both execution paths charge the same.
+constexpr std::int64_t malloc_max = 1 << 16;
+constexpr std::int64_t heap_limit = 1 << 20;
+inline std::int64_t heap_footprint(std::int64_t n) {
+  return n == 0 ? 64 : (n + 63) & ~std::int64_t{63};
+}
+
 /// Shift counts are masked to [0,63] so all targets agree.
 inline std::int64_t wrap_shl(std::int64_t a, std::int64_t s) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "obs/metrics.h"
 #include "util/stats.h"
 
 namespace patchecko {
@@ -35,6 +36,16 @@ std::uint64_t effect_of(const RunResult& result) {
   return hash;
 }
 
+void record(DynamicProfile& profile, const RunResult& result) {
+  if (result.status == ExecStatus::ok) {
+    profile.per_env.push_back(result.features);
+    profile.effect_hash.push_back(effect_of(result));
+  } else {
+    profile.per_env.push_back(std::nullopt);
+    profile.effect_hash.push_back(std::nullopt);
+  }
+}
+
 }  // namespace
 
 DynamicProfile profile_function(const Machine& machine,
@@ -43,15 +54,32 @@ DynamicProfile profile_function(const Machine& machine,
   DynamicProfile profile;
   profile.per_env.reserve(environments.size());
   profile.effect_hash.reserve(environments.size());
-  for (const CallEnv& env : environments) {
-    const RunResult result = machine.run(function_index, env);
-    if (result.status == ExecStatus::ok) {
-      profile.per_env.push_back(result.features);
-      profile.effect_hash.push_back(effect_of(result));
-    } else {
-      profile.per_env.push_back(std::nullopt);
-      profile.effect_hash.push_back(std::nullopt);
+  for (const CallEnv& env : environments)
+    record(profile, machine.run(function_index, env));
+  return profile;
+}
+
+std::optional<DynamicProfile> validate_and_profile(
+    const Machine& machine, std::size_t function_index,
+    const std::vector<CallEnv>& environments, std::size_t* first_crash_env) {
+  // The counters validate_candidate (fuzz/fuzzer.cpp) bumps; the registry
+  // hands out one counter per name.
+  static obs::Counter& validated =
+      obs::Registry::global().counter("fuzz.candidates_validated");
+  static obs::Counter& crash_pruned =
+      obs::Registry::global().counter("fuzz.candidates_crash_pruned");
+  validated.add();
+  DynamicProfile profile;
+  profile.per_env.reserve(environments.size());
+  profile.effect_hash.reserve(environments.size());
+  for (std::size_t i = 0; i < environments.size(); ++i) {
+    const RunResult result = machine.run(function_index, environments[i]);
+    if (result.status != ExecStatus::ok) {
+      crash_pruned.add();
+      if (first_crash_env != nullptr) *first_crash_env = i;
+      return std::nullopt;
     }
+    record(profile, result);
   }
   return profile;
 }

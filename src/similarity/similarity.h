@@ -40,6 +40,17 @@ DynamicProfile profile_function(const Machine& machine,
                                 std::size_t function_index,
                                 const std::vector<CallEnv>& environments);
 
+/// Execution validation and profiling in one pass over the environments:
+/// validate_candidate() followed by profile_function(), with each
+/// environment run once instead of twice. Returns nullopt at the first run
+/// that does not return normally, storing its index in `first_crash_env`
+/// (when non-null). Counts fuzz.candidates_validated and
+/// fuzz.candidates_crash_pruned exactly as validate_candidate() does.
+std::optional<DynamicProfile> validate_and_profile(
+    const Machine& machine, std::size_t function_index,
+    const std::vector<CallEnv>& environments,
+    std::size_t* first_crash_env = nullptr);
+
 /// Eq. (1) + (2): mean Minkowski-p distance over environments where both
 /// profiles succeeded. Returns +inf if no common environment exists.
 double profile_distance(const DynamicProfile& a, const DynamicProfile& b,

@@ -323,7 +323,9 @@ class Interpreter {
         return args.at(0);
       }
       case LibFn::malloc: {
-        const std::int64_t n = rt::clamp64(arg_int(0), 0, 1 << 16);
+        const std::int64_t n = rt::clamp64(arg_int(0), 0, rt::malloc_max);
+        heap_bytes_ += rt::heap_footprint(n);
+        if (heap_bytes_ > rt::heap_limit) throw Trap{ExecStatus::trap_oob};
         env_.buffers.emplace_back(static_cast<std::size_t>(n), 0);
         return Value::from_ptr(static_cast<int>(env_.buffers.size()) - 1, 0);
       }
@@ -489,6 +491,7 @@ class Interpreter {
   std::uint64_t step_limit_;
   std::uint64_t steps_ = 0;
   int call_depth_ = 0;
+  std::int64_t heap_bytes_ = 0;  ///< malloc'd this run (see rt::heap_limit)
 };
 
 }  // namespace

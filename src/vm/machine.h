@@ -8,15 +8,22 @@
 // while tracing every instruction to produce the Table II dynamic features.
 //
 // Memory is a table of bounds-checked objects:
-//   * lib   — the library string pool (read-only)
+//   * lib   — the library string pool (read-only; laid out once, when the
+//             Machine is constructed, and shared by every run)
 //   * anon  — the environment's byte buffers (the paper counts fuzzer-
 //             provided inputs as anonymous mappings)
-//   * heap  — malloc'd chunks
+//   * heap  — malloc'd chunks, at most rt::heap_limit bytes per run
 //   * stack — one contiguous region holding frames, spills and push/pop
 // Any access outside an object traps, which matches the reference
 // interpreter's per-buffer bounds exactly.
+//
+// A run's mutable state (buffer copies, heap, stack, frames, per-site
+// counters) lives in scratch owned by the calling thread and reused by its
+// next run, so a warm run allocates only its RunResult. run() is const and
+// safe to call from many threads at once.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,8 +52,9 @@ struct RunResult {
   std::vector<std::vector<std::uint8_t>> buffers_after;
 };
 
-/// Executes functions of one library. Construction precomputes the string
-/// pool layout; each run() builds a fresh memory image from the environment.
+/// Executes functions of one library. Construction builds the string-pool
+/// image; each run() copies the environment into the calling thread's
+/// scratch and executes there. `library` must outlive the Machine.
 class Machine {
  public:
   explicit Machine(const LibraryBinary& library, MachineConfig config = {});
@@ -57,9 +65,19 @@ class Machine {
 
   const LibraryBinary& library() const { return *library_; }
 
+  /// Bytes of execution scratch the calling thread keeps between runs. A
+  /// run that needed more releases the excess before it returns, so this
+  /// never exceeds max_retained_scratch.
+  static std::size_t thread_scratch_bytes();
+  static constexpr std::size_t max_retained_scratch = std::size_t{1} << 20;
+
  private:
   const LibraryBinary* library_;
   MachineConfig config_;
+  /// String i lives at string_bases_[i]; string_image_ holds the lib region
+  /// from its base up to the last string's NUL, padding zeroed.
+  std::vector<std::int64_t> string_bases_;
+  std::vector<std::uint8_t> string_image_;
 };
 
 }  // namespace patchecko

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -23,10 +24,13 @@
 #include "engine/cache.h"
 #include "engine/engine.h"
 #include "engine/thread_pool.h"
+#include "fuzz/fuzzer.h"
 #include "obs/decision.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "similarity/similarity.h"
+#include "vm/machine.h"
 
 namespace patchecko {
 namespace {
@@ -995,6 +999,71 @@ TEST(Engine, ExactScanIsByteIdenticalAcrossJobsOnMultiBlockTargets) {
       EXPECT_EQ(report.canonical_text(), reference) << "jobs=" << jobs;
   }
   EXPECT_FALSE(reference.empty());
+}
+
+TEST(Engine, FusedStageTwoMatchesSeparateValidationAndProfiling) {
+  // validate_and_profile runs each environment once. On every function of a
+  // target library, under every CVE's environments, it must agree with
+  // validate_candidate followed by profile_function, crash index included,
+  // and count the same validations and prunes.
+  const obs::EnabledScope on(true);
+  const EngineUniverse& u = universe();
+  const MultiBlockTargets targets = multi_block_targets(u);
+  ASSERT_NE(targets.largest_entry, nullptr);
+  const Machine machine(*targets.largest);
+  obs::Counter& validated =
+      obs::Registry::global().counter("fuzz.candidates_validated");
+  obs::Counter& pruned =
+      obs::Registry::global().counter("fuzz.candidates_crash_pruned");
+  std::size_t crashed = 0;
+  for (const CveEntry& entry : u.database->entries()) {
+    for (std::size_t f = 0; f < targets.largest->functions.size(); ++f) {
+      const std::uint64_t validated0 = validated.value();
+      const std::uint64_t pruned0 = pruned.value();
+      std::size_t separate_crash = 0;
+      const bool valid =
+          validate_candidate(machine, f, entry.environments, &separate_crash);
+      const std::uint64_t validated1 = validated.value();
+      const std::uint64_t pruned1 = pruned.value();
+      std::size_t fused_crash = 0;
+      const std::optional<DynamicProfile> fused =
+          validate_and_profile(machine, f, entry.environments, &fused_crash);
+      EXPECT_EQ(validated.value() - validated1, validated1 - validated0);
+      EXPECT_EQ(pruned.value() - pruned1, pruned1 - pruned0);
+      ASSERT_EQ(fused.has_value(), valid) << "function " << f;
+      if (!valid) {
+        ++crashed;
+        EXPECT_EQ(fused_crash, separate_crash) << "function " << f;
+        continue;
+      }
+      const DynamicProfile separate =
+          profile_function(machine, f, entry.environments);
+      ASSERT_EQ(fused->per_env.size(), separate.per_env.size());
+      for (std::size_t e = 0; e < separate.per_env.size(); ++e) {
+        ASSERT_TRUE(fused->per_env[e].has_value());
+        ASSERT_TRUE(separate.per_env[e].has_value());
+        EXPECT_EQ(fused->per_env[e]->to_array(),
+                  separate.per_env[e]->to_array());
+        EXPECT_EQ(fused->effect_hash[e], separate.effect_hash[e]);
+      }
+    }
+  }
+  EXPECT_GT(crashed, 0u);  // crash pruning was exercised
+
+  // Patchecko::detect's provenance records the same prune decisions.
+  const CveEntry& entry = *targets.largest_entry;
+  const AnalyzedLibrary analyzed = analyze_library(*targets.largest);
+  const DetectionOutcome outcome =
+      Patchecko(&u.model).detect(entry, analyzed, /*query_is_patched=*/false);
+  ASSERT_FALSE(outcome.provenance.candidates.empty());
+  for (const obs::CandidateRecord& record : outcome.provenance.candidates) {
+    std::size_t crash_env = 0;
+    const bool valid = validate_candidate(machine, record.function_index,
+                                          entry.environments, &crash_env);
+    EXPECT_EQ(record.validated, valid);
+    EXPECT_EQ(record.crash_env,
+              valid ? -1 : static_cast<std::int64_t>(crash_env));
+  }
 }
 
 TEST(Engine, CancelBeforeStageOneYieldsCancelledOutcomeAndStoresNothing) {

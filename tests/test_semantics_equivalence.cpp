@@ -24,6 +24,45 @@ CallEnv env_for(Rng& rng, const std::vector<ValueType>& params) {
   return random_env(rng, params, config);
 }
 
+// for (i = 0; i < iterations; ++i) p = malloc(64 KiB); return 0;
+SourceLibrary malloc_loop(std::int64_t iterations) {
+  SourceLibrary library;
+  library.name = "heap";
+  SourceFunction fn;
+  fn.name = "grow";
+  fn.local_types = {ValueType::i64, ValueType::ptr};
+  std::vector<ExprPtr> args;
+  args.push_back(make_int(1 << 16));
+  std::vector<StmtPtr> loop;
+  loop.push_back(make_assign(
+      1, make_libcall(LibFn::malloc, std::move(args), ValueType::ptr)));
+  fn.body.push_back(
+      make_for(0, make_int(0), make_int(iterations), std::move(loop)));
+  fn.body.push_back(make_ret(make_int(0)));
+  library.functions.push_back(std::move(fn));
+  return library;
+}
+
+TEST(HeapLimit, InterpreterAndVmTrapAtTheSameMalloc) {
+  // 16 chunks of 64 KiB fill the per-run heap exactly; the 17th traps on
+  // both execution paths, at every architecture and optimization level.
+  for (const std::int64_t iterations : {16, 17, 1 << 30}) {
+    const SourceLibrary source = malloc_loop(iterations);
+    CallEnv interp_env;
+    const ExecStatus expected = interpret(source, 0, interp_env).status;
+    EXPECT_EQ(expected, iterations <= 16 ? ExecStatus::ok
+                                         : ExecStatus::trap_oob);
+    for (const Arch arch :
+         {Arch::x86, Arch::amd64, Arch::arm32, Arch::arm64})
+      for (const OptLevel opt : {OptLevel::O0, OptLevel::O2}) {
+        const LibraryBinary binary = compile_library(source, arch, opt);
+        EXPECT_EQ(Machine(binary).run(0, CallEnv{}).status, expected)
+            << iterations << " mallocs, " << arch_name(arch) << " "
+            << opt_level_name(opt);
+      }
+  }
+}
+
 class SemanticsEquivalence
     : public ::testing::TestWithParam<std::tuple<Arch, OptLevel>> {};
 

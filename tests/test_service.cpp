@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "dl/trainer.h"
 #include "engine/corpus_store.h"
 #include "engine/engine.h"
@@ -349,9 +351,16 @@ TEST(Service, SignalHandlersFlipFlagsWithoutKillingTheProcess) {
 /// Shared universe for the socket-level tests: a lightly trained model, a
 /// scaled-down corpus/firmware saved to disk, and the one-shot engine's
 /// canonical report to byte-compare service results against.
+///
+/// gtest_discover_tests runs every test in its own process, and `ctest -j`
+/// runs those processes side by side; each keeps its files (firmware image,
+/// sockets) under a directory named after its pid so that no process
+/// deletes another's.
 struct ServiceUniverse {
   SimilarityModel model;
   EvalConfig eval;
+  std::filesystem::path root = std::filesystem::temp_directory_path() /
+                               ("pk_service_" + std::to_string(::getpid()));
   std::string firmware_path;
   std::vector<std::string> some_cves;
   std::string expected_report;  ///< one-shot canonical_text for some_cves
@@ -372,8 +381,7 @@ struct ServiceUniverse {
       some_cves.push_back(entry.spec.cve_id);
     }
 
-    const auto dir =
-        std::filesystem::temp_directory_path() / "pk_service_universe";
+    const auto dir = root / "universe";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     firmware_path = (dir / "fw.img").string();
@@ -389,10 +397,14 @@ struct ServiceUniverse {
     expected_report = engine.run(request).canonical_text();
   }
 
+  ~ServiceUniverse() {
+    std::error_code ignored;
+    std::filesystem::remove_all(root, ignored);
+  }
+
   svc::ServiceConfig service_config(const std::string& name) const {
     svc::ServiceConfig config;
-    const auto dir =
-        std::filesystem::temp_directory_path() / ("pk_service_" + name);
+    const auto dir = root / name;
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     config.socket_path = (dir / "svc.sock").string();
@@ -1077,7 +1089,9 @@ TEST(Service, ProfileCaptureOverSocketWith409DoubleStartGuard) {
 
   // Kick off a capture, then wait until the (process-global) profiler is
   // provably live so the second request races against a running capture,
-  // not against session-thread scheduling.
+  // not against session-thread scheduling. Earlier tests in this process
+  // may have finished captures of their own.
+  const std::uint64_t captures_before = obs::Profiler::global().captures();
   ASSERT_TRUE(capturer.send(svc::profile_request_json(0.6, 200)));
   for (int i = 0; i < 400 && !obs::Profiler::global().running(); ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -1113,7 +1127,8 @@ TEST(Service, ProfileCaptureOverSocketWith409DoubleStartGuard) {
   const json::Value stats = parsed(*stats_response);
   const json::Value profile = stats.get("profile");
   ASSERT_EQ(profile.kind(), json::Value::Kind::object);
-  EXPECT_EQ(profile.get("captures").as_number(), 1.0);
+  EXPECT_EQ(profile.get("captures").as_number(),
+            static_cast<double>(captures_before + 1));
   EXPECT_FALSE(profile.get("running").as_bool(true));
   EXPECT_EQ(profile.get("last").kind(), json::Value::Kind::object);
   EXPECT_GT(profile.get("last").get("sweeps").as_number(), 0.0);
